@@ -344,6 +344,16 @@ class PageRankProgram {
     return before + ctx.contribution >= options_.epsilon;
   }
 
+  /// ProcessEdge for a caller no other thread writes beside
+  /// (WriteAccess::kExclusive): a plain add, no compare-and-swap loop.
+  bool ProcessEdgeExclusive(const VertexContext& ctx, VertexId /*u*/,
+                            VertexId v, Weight /*w*/) {
+    const double after =
+        deltas_[v].load(std::memory_order_relaxed) + ctx.contribution;
+    deltas_[v].store(after, std::memory_order_relaxed);
+    return after >= options_.epsilon;
+  }
+
   double DeltaOf(VertexId v) const {
     return deltas_[v].load(std::memory_order_relaxed);
   }
@@ -427,6 +437,16 @@ class PhpProgram {
     const double msg = ctx.scaled_delta * static_cast<double>(w);
     const double before = AtomicAddDouble(&deltas_[v], msg);
     return before + msg >= options_.epsilon;
+  }
+
+  /// As PageRankProgram::ProcessEdgeExclusive.
+  bool ProcessEdgeExclusive(const VertexContext& ctx, VertexId /*u*/,
+                            VertexId v, Weight w) {
+    if (v == source_) return false;
+    const double after = deltas_[v].load(std::memory_order_relaxed) +
+                         ctx.scaled_delta * static_cast<double>(w);
+    deltas_[v].store(after, std::memory_order_relaxed);
+    return after >= options_.epsilon;
   }
 
   double DeltaOf(VertexId v) const {

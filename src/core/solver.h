@@ -54,6 +54,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -658,11 +659,13 @@ class Solver {
 
     view_.EnsureReverse();
     const auto floor = PullIterationFloor(current, *program);
+    PullSources<Program> sources;
+    SnapshotPullSources(current, *program, &sources);
     team->Run([&](int l) {
       LaneState& lane = *(*lanes)[l];
       lane.BeginIteration();
       const auto t0 = std::chrono::steady_clock::now();
-      lane.pull_edges = RunPullKernelRange(view_, current, *program, next,
+      lane.pull_edges = RunPullKernelRange(view_, sources, *program, next,
                                            floor, lane.v_begin, lane.v_end);
       lane.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
@@ -852,6 +855,14 @@ class Solver {
     return actives;
   }
 
+  /// The sequential path writes through the global Frontier and is the
+  /// program's only writer; parallel lanes (LaneSink) write it together.
+  template <typename Sink>
+  static constexpr WriteAccess AccessFor() {
+    return std::is_same_v<Sink, Frontier> ? WriteAccess::kExclusive
+                                          : WriteAccess::kShared;
+  }
+
   /// Extra asynchronous rounds: consume re-activations that landed inside
   /// this task's loaded subgraph. `membership` restricts to vertices whose
   /// edges are actually on the GPU (compaction loads only the original
@@ -882,7 +893,7 @@ class Solver {
         }
       }
       if (pending.empty()) break;
-      edges += RunKernel(view_, pending, *program, next);
+      edges += RunKernel(view_, pending, *program, next, AccessFor<Sink>());
     }
     return edges;
   }
@@ -905,7 +916,8 @@ class Solver {
         stats_.AddExplicit(bytes, tlps);
         st.transfer_seconds = pcie_->ExplicitCopySeconds(bytes) +
                               options_.task_overhead_seconds;
-        uint64_t edges = RunKernel(view_, actives, *program, next);
+        uint64_t edges =
+            RunKernel(view_, actives, *program, next, AccessFor<Sink>());
         if (options_.extra_rounds != 0) {
           // Whole partitions are on the GPU: any vertex in range can be
           // recomputed without further transfer.
@@ -931,7 +943,8 @@ class Solver {
         st.transfer_seconds = pcie_->ExplicitCopySeconds(bytes) +
                               options_.task_overhead_seconds;
 
-        uint64_t edges = RunKernelOnSubCsr(view_, compact.sub, *program, next);
+        uint64_t edges = RunKernelOnSubCsr(view_, compact.sub, *program,
+                                           next, AccessFor<Sink>());
         if (options_.extra_rounds != 0) {
           // Only the compacted vertices' edges are on the GPU.
           edges += RunExtraRounds(task, &actives, next, program);
@@ -958,7 +971,8 @@ class Solver {
             options_.task_overhead_seconds;
         // No extra rounds: zero-copy loads nothing, re-access would pay the
         // PCIe cost again (Section VI-A applies to *loaded* subgraphs).
-        const uint64_t edges = RunKernel(view_, actives, *program, next);
+        const uint64_t edges =
+            RunKernel(view_, actives, *program, next, AccessFor<Sink>());
         stats_.AddKernelEdges(edges);
         st.kernel_seconds = gpu_model_->SecondsForEdges(edges) +
                             options_.task_overhead_seconds;
@@ -999,14 +1013,16 @@ class Solver {
           transfer += pcie_->ZeroCopySeconds(spill_requests, ratio);
         }
         st.transfer_seconds = transfer + options_.task_overhead_seconds;
-        const uint64_t edges = RunKernel(view_, actives, *program, next);
+        const uint64_t edges =
+            RunKernel(view_, actives, *program, next, AccessFor<Sink>());
         stats_.AddKernelEdges(edges);
         st.kernel_seconds = gpu_model_->SecondsForEdges(edges) +
                             options_.task_overhead_seconds;
         break;
       }
       case EngineKind::kCpu: {
-        const uint64_t edges = RunKernel(view_, actives, *program, next);
+        const uint64_t edges =
+            RunKernel(view_, actives, *program, next, AccessFor<Sink>());
         stats_.AddKernelEdges(edges);
         st.kernel_seconds = cpu_model_->SecondsForEdges(edges);
         break;

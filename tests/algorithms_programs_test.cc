@@ -129,6 +129,24 @@ TEST(PageRankProgramTest, ProcessEdgeActivatesAboveEpsilon) {
   EXPECT_DOUBLE_EQ(program.DeltaOf(1), 0.012);
 }
 
+TEST(PageRankProgramTest, ExclusiveRelaxMatchesAtomicRelax) {
+  const CsrGraph g = PaperFigure1Graph();
+  PageRankOptions opts;
+  opts.epsilon = 0.01;
+  PageRankProgram atomic(g, opts);
+  PageRankProgram exclusive(g, opts);
+  PageRankProgram::VertexContext drain;
+  atomic.BeginVertex(1, &drain);
+  exclusive.BeginVertex(1, &drain);
+  const PageRankProgram::VertexContext ctx{0.004};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(exclusive.ProcessEdgeExclusive(ctx, 0, 1, 1),
+              atomic.ProcessEdge(ctx, 0, 1, 1))
+        << "relaxation " << i;
+  }
+  EXPECT_EQ(exclusive.Values(), atomic.Values());
+}
+
 TEST(PageRankProgramTest, ValuesIncludePendingDeltas) {
   const CsrGraph g = PaperFigure1Graph();
   PageRankProgram program(g);
@@ -149,6 +167,19 @@ TEST(PhpProgramTest, MassEnteringSourceIsDiscarded) {
   PhpProgram::VertexContext ctx{0.5};
   EXPECT_FALSE(program.ProcessEdge(ctx, 5, 0, 3));  // edge into source
   EXPECT_DOUBLE_EQ(program.DeltaOf(0), 1.0);        // unchanged
+}
+
+TEST(PhpProgramTest, ExclusiveRelaxMatchesAtomicRelax) {
+  const CsrGraph g = PaperFigure1Graph();
+  PhpProgram atomic(g, 0);
+  PhpProgram exclusive(g, 0);
+  const PhpProgram::VertexContext ctx{0.5};
+  for (const VertexId v : {1u, 1u, 0u, 2u}) {  // 0 is the source
+    EXPECT_EQ(exclusive.ProcessEdgeExclusive(ctx, 5, v, 3),
+              atomic.ProcessEdge(ctx, 5, v, 3))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(exclusive.Values(), atomic.Values());
 }
 
 TEST(PhpProgramTest, PropagationWeightNormalized) {

@@ -222,6 +222,44 @@ TEST(EngineBatchTest, BatchMatchesSequentialAcrossAllSixAlgorithms) {
   }
 }
 
+TEST(EngineTest, RepeatedQueriesRepeatExactly) {
+  // num_workers = 1 is the sequential reference path: the same query on the
+  // same graph must give the same trace and the same values, bit for bit,
+  // however the kernel threads interleave. A graph large enough that every
+  // algorithm's passes outgrow one shard.
+  Engine engine(SmallRmat(12, 8, 7), HyTGraphDefaults());
+  for (AlgorithmId algorithm : kAllAlgorithms) {
+    Query query;
+    query.algorithm = algorithm;
+    query.source = 1;
+    auto first = engine.Run(query);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      auto again = engine.Run(query);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      const char* name = AlgorithmName(algorithm);
+      ASSERT_EQ(again->trace.NumIterations(), first->trace.NumIterations())
+          << name;
+      for (size_t i = 0; i < first->trace.iterations.size(); ++i) {
+        EXPECT_EQ(again->trace.iterations[i].active_vertices,
+                  first->trace.iterations[i].active_vertices)
+            << name << " iteration " << i;
+        EXPECT_EQ(again->trace.iterations[i].active_edges,
+                  first->trace.iterations[i].active_edges)
+            << name << " iteration " << i;
+      }
+      EXPECT_EQ(again->trace.total_sim_seconds,
+                first->trace.total_sim_seconds)
+          << name;
+      if (first->is_f64()) {
+        EXPECT_EQ(again->f64(), first->f64()) << name;
+      } else {
+        EXPECT_EQ(again->u32(), first->u32()) << name;
+      }
+    }
+  }
+}
+
 TEST(EngineBatchTest, BatchIsDeterministicAcrossRepeats) {
   Engine engine(SmallRmat(8, 6, 11), HyTGraphDefaults());
   std::vector<Query> queries;

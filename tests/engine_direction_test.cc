@@ -11,13 +11,13 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "dynamic/mutation.h"
 #include "test_graphs.h"
 
 namespace hytgraph {
 namespace {
 
 using testing::ChainGraph;
+using testing::MixedBatch;
 using testing::PaperFigure1Graph;
 using testing::SmallRmat;
 using testing::StarGraph;
@@ -45,29 +45,6 @@ void ExpectSameValues(const QueryResult& a, const QueryResult& b,
     // Value-selection fixpoints are schedule-independent: bitwise equal.
     EXPECT_EQ(a.u32(), b.u32()) << what;
   }
-}
-
-MutationBatch MixedBatch(const CsrGraph& base, uint64_t inserts,
-                         uint64_t deletes, uint64_t seed) {
-  MutationBatch batch;
-  const VertexId n = base.num_vertices();
-  uint64_t state = seed;
-  auto next = [&]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  };
-  for (uint64_t i = 0; i < deletes; ++i) {
-    const VertexId src = static_cast<VertexId>(next() % n);
-    const auto nbrs = base.neighbors(src);
-    if (nbrs.empty()) continue;
-    batch.DeleteEdge(src, nbrs[next() % nbrs.size()]);
-  }
-  for (uint64_t i = 0; i < inserts; ++i) {
-    batch.InsertEdge(static_cast<VertexId>(next() % n),
-                     static_cast<VertexId>(next() % n),
-                     static_cast<Weight>(1 + next() % 32));
-  }
-  return batch;
 }
 
 /// Runs every algorithm on `engine` under push, pull, and auto, expecting

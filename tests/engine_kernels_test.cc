@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "algorithms/programs.h"
 #include "dynamic/delta_overlay.h"
 #include "dynamic/mutation.h"
+#include "engine/partition_state.h"
 #include "test_graphs.h"
 
 namespace hytgraph {
@@ -114,6 +118,117 @@ TEST(KernelTest, UnweightedGraphUsesWeightOne) {
   Frontier next(g->num_vertices());
   RunKernel(*g, std::vector<VertexId>{0}, program, &next);
   EXPECT_EQ(program.Values()[1], 1u);  // weight defaulted to 1, not 50
+}
+
+/// Runs `program` through successive push passes from its initial frontier,
+/// each pass on the caller's thread (PR's passes shard over the shared
+/// pool), and checks after every pass that the scout count the kernel
+/// maintained in `next` equals the bitmap scan. `sub_csr`
+/// routes each pass through the compacted-subgraph kernel.
+template <typename Program>
+void ExpectScoutExactAcrossPasses(const GraphView& view, Program& program,
+                                  bool sub_csr, const std::string& what) {
+  constexpr int kPasses = 8;
+  Frontier a(view), b(view);
+  Frontier* current = &a;
+  Frontier* next = &b;
+  program.InitFrontier(current);
+  size_t widest = 0;
+  for (int pass = 0; pass < kPasses && !current->Empty(); ++pass) {
+    const std::vector<VertexId> actives = current->Collect();
+    widest = std::max(widest, actives.size());
+    if (sub_csr) {
+      const auto compact =
+          CompactActiveEdges(view, actives, Program::kNeedsWeights);
+      RunKernelOnSubCsr(view, compact.sub, program, next);
+    } else {
+      RunKernel(view, actives, program, next);
+    }
+    ASSERT_TRUE(next->ScoutValid()) << what << " pass " << pass;
+    EXPECT_EQ(next->ScoutCount(), FrontierActiveEdges(view, *next))
+        << what << " pass " << pass;
+    std::swap(current, next);
+    next->Clear();
+  }
+  // Wider than the kernels' min_grain (64), so a multi-thread pool shards
+  // at least one pass.
+  EXPECT_GT(widest, 64u) << what;
+}
+
+void ExpectScoutExactForPrCcSssp(const GraphView& view,
+                                 const std::string& graph_name) {
+  // SSSP from the highest-out-degree vertex, so its frontier widens fast.
+  VertexId hub = 0;
+  for (VertexId v = 1; v < view.num_vertices(); ++v) {
+    if (view.out_degree(v) > view.out_degree(hub)) hub = v;
+  }
+  for (const bool sub_csr : {false, true}) {
+    const std::string what = graph_name + (sub_csr ? "/sub-csr" : "/direct");
+    PageRankProgram pr(view);
+    ExpectScoutExactAcrossPasses(view, pr, sub_csr, what + "/PR");
+    CcProgram cc(view);
+    ExpectScoutExactAcrossPasses(view, cc, sub_csr, what + "/CC");
+    SsspProgram sssp(view, hub);
+    ExpectScoutExactAcrossPasses(view, sssp, sub_csr, what + "/SSSP");
+  }
+}
+
+TEST(KernelTest, ScoutCountStaysExactAcrossParallelPasses) {
+  const CsrGraph g = testing::SmallRmat(/*scale=*/12, /*edge_factor=*/8,
+                                        /*seed=*/41);
+  ExpectScoutExactForPrCcSssp(GraphView::Wrap(g), "rmat-12");
+}
+
+TEST(KernelTest, ScoutCountStaysExactAcrossParallelPassesOnMutatedView) {
+  // Delta vertices take the merged-adjacency path and carry overlay-adjusted
+  // out-degrees into the scout count.
+  auto base = std::make_shared<const CsrGraph>(
+      testing::SmallRmat(/*scale=*/12, /*edge_factor=*/8, /*seed=*/43));
+  auto overlay = std::make_shared<DeltaOverlay>(base);
+  const MutationBatch batch = testing::MixedBatch(
+      *base, /*inserts=*/1500, /*deletes=*/600, /*seed=*/99);
+  ASSERT_TRUE(overlay->Apply(batch).ok());
+  ExpectScoutExactForPrCcSssp(GraphView(base, overlay), "rmat-12+delta");
+}
+
+/// Two identical runs of `kPasses` push passes from the initial frontier
+/// must write the same frontiers and the same values bit for bit.
+template <typename Program, typename MakeProgram>
+void ExpectPassesRepeat(const GraphView& view, MakeProgram make,
+                        const char* what) {
+  constexpr int kPasses = 6;
+  std::vector<std::vector<VertexId>> frontiers[2];
+  std::vector<typename Program::Value> values[2];
+  for (int run = 0; run < 2; ++run) {
+    Program program = make();
+    Frontier a(view), b(view);
+    Frontier* current = &a;
+    Frontier* next = &b;
+    program.InitFrontier(current);
+    for (int pass = 0; pass < kPasses && !current->Empty(); ++pass) {
+      const std::vector<VertexId> actives = current->Collect();
+      RunKernel(view, actives, program, next);
+      frontiers[run].push_back(next->Collect());
+      std::swap(current, next);
+      next->Clear();
+    }
+    values[run] = program.Values();
+  }
+  EXPECT_EQ(frontiers[0], frontiers[1]) << what;
+  EXPECT_EQ(values[0], values[1]) << what;
+}
+
+TEST(KernelTest, PushPassesRepeatExactly) {
+  const CsrGraph g = testing::SmallRmat(/*scale=*/12, /*edge_factor=*/8,
+                                        /*seed=*/41);
+  const GraphView view = GraphView::Wrap(g);
+  ExpectPassesRepeat<PageRankProgram>(
+      view, [&] { return PageRankProgram(view); }, "PR");
+  ExpectPassesRepeat<PhpProgram>(
+      view, [&] { return PhpProgram(view, 1); }, "PHP");
+  ExpectPassesRepeat<SsspProgram>(
+      view, [&] { return SsspProgram(view, 1); }, "SSSP");
+  ExpectPassesRepeat<CcProgram>(view, [&] { return CcProgram(view); }, "CC");
 }
 
 TEST(PullKernelTest, OneIterationMatchesPush) {

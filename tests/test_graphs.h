@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "dynamic/mutation.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
 #include "graph/rmat_generator.h"
@@ -76,6 +77,32 @@ inline CsrGraph SmallRmat(uint32_t scale = 12, uint32_t edge_factor = 8,
   auto result = GenerateRmat(opts);
   HYT_CHECK(result.ok());
   return std::move(result).value();
+}
+
+/// Deterministic mixed mutation batch over `base`: `deletes` attempted
+/// deletions of existing base edges (vertices without out-edges are
+/// skipped), then `inserts` random weighted insertions.
+inline MutationBatch MixedBatch(const CsrGraph& base, uint64_t inserts,
+                                uint64_t deletes, uint64_t seed) {
+  MutationBatch batch;
+  const VertexId n = base.num_vertices();
+  uint64_t state = seed;
+  auto next = [&]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (uint64_t i = 0; i < deletes; ++i) {
+    const VertexId src = static_cast<VertexId>(next() % n);
+    const auto nbrs = base.neighbors(src);
+    if (nbrs.empty()) continue;
+    batch.DeleteEdge(src, nbrs[next() % nbrs.size()]);
+  }
+  for (uint64_t i = 0; i < inserts; ++i) {
+    batch.InsertEdge(static_cast<VertexId>(next() % n),
+                     static_cast<VertexId>(next() % n),
+                     static_cast<Weight>(1 + next() % 32));
+  }
+  return batch;
 }
 
 }  // namespace hytgraph::testing
